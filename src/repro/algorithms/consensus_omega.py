@@ -100,6 +100,10 @@ class OmegaConsensusProcess(ProcessAutomaton):
             lambda a: a.location == self.location
             and a.name in (PROPOSE, self.fd_output_name),
             f"propose/fd at {self.location}",
+            routes=(
+                (PROPOSE, self.location),
+                (self.fd_output_name, self.location),
+            ),
         )
 
     def core_outputs(self) -> ActionSet:

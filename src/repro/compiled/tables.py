@@ -42,7 +42,6 @@ order is part of the observable contract.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
@@ -346,24 +345,22 @@ class CompiledComposition(CompiledAutomaton):
         self._action_parts.clear()
 
 
-#: Per-automaton-instance core cache: the same automaton object is
-#: lowered once per process, however many schedulers or tree builds
-#: route through it.  Weak keys keep discarded systems collectable.
-_CORE_CACHE: "weakref.WeakKeyDictionary[Automaton, CompiledAutomaton]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def compile_automaton(automaton: Automaton) -> CompiledAutomaton:
-    """The compiled core for ``automaton`` (cached per instance)."""
+    """The compiled core for ``automaton`` (cached per instance).
+
+    The same automaton object is lowered once, however many schedulers
+    or tree builds route through it.  The core is held on the instance:
+    it refers back to the automaton (``core.base``), so the pair forms
+    one cycle the garbage collector frees together.
+    """
     if isinstance(automaton, CompiledAutomaton):
         return automaton
-    core = _CORE_CACHE.get(automaton)
+    core = automaton.__dict__.get("_compiled_core")
     if core is None:
         core = (
             CompiledComposition(automaton)
             if isinstance(automaton, Composition)
             else CompiledAutomaton(automaton)
         )
-        _CORE_CACHE[automaton] = core
+        automaton._compiled_core = core
     return core

@@ -66,6 +66,7 @@ class CrashsetDetectorAutomaton(Automaton):
                     a.name == output_name and a.location in self.locations
                 ),
                 f"{output_name}(*)_i",
+                routes=((output_name, i) for i in self.locations),
             ),
         )
 

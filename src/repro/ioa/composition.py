@@ -24,8 +24,16 @@ full ``enabled_locally`` re-enumeration per task per scheduler step.
 Both are pure functions — dispatch of the action alone, enabledness of
 the component's state piece alone — so the composition memoizes them:
 
+* **routes**: every action has a name and a location, and most action
+  sets declare the ``(name, location)`` pairs of their members
+  (:meth:`~repro.ioa.signature.ActionSet.routes`).  The constructor
+  indexes each route to the components whose signatures declare it,
+  plus every component whose signature does not declare its routes (a
+  *wildcard*, asked about every action).  Candidate lists keep
+  component order, so scanning only them finds the same owner, the same
+  participants and the same ambiguity as scanning every component;
 * **dispatch maps**: per action, the owning component index and the
-  participant index tuple are computed once by the predicate scan and
+  participant index tuple are computed once by the candidate scan and
   remembered (the scan stays the fallback for the first sighting of each
   action, so infinite predicate signatures keep working);
 * **per-component enabled cache**: per ``(component, component state)``,
@@ -37,7 +45,12 @@ the component's state piece alone — so the composition memoizes them:
 * **per-step snapshots**: :meth:`Composition.enabled_by_task` assembles
   the full task→enabled-actions map from the cached groups, so scheduler
   policies and the tagged-tree builder ask once per step instead of once
-  per task.
+  per task.  It keeps the previous state's pieces and groups and looks
+  up only the pieces that are not the very same objects as before (a
+  step copies every non-participant piece by reference); a reused piece
+  counts as a ``composition.enabled`` hit.  Groups are merged in
+  component order, so the snapshot's keys, their order and the action
+  tuples are those of a full merge.
 
 Correctness rests on the module contract that states are immutable and
 ``enabled_locally`` is a pure function of the state
@@ -45,8 +58,9 @@ Correctness rests on the module contract that states are immutable and
 against brute-force re-enumeration on randomized compositions.  Caching
 can be disabled per instance (``use_enabled_cache=False``), process-wide
 (:func:`set_enabled_cache_default`), or via the environment variable
-``REPRO_DISABLE_ENABLED_CACHE=1`` — the disabled path is the original
-predicate scan, which CI uses as the semantics oracle.
+``REPRO_DISABLE_ENABLED_CACHE=1`` — the disabled path recomputes every
+piece on every step, which CI uses as the semantics oracle.  Routes stay
+on in both modes: they narrow the scan without remembering anything.
 
 Every memo probe tallies into the process-global cache telemetry
 (``composition.dispatch`` / ``composition.task`` / ``composition.enabled``
@@ -57,21 +71,26 @@ profiler and the benchmark ``--profile`` flag report as hit rates.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton, State
 from repro.ioa.signature import (
     ActionSet,
-    PredicateActionSet,
+    Route,
     Signature,
     UnionActionSet,
+    union_routes,
 )
 from repro.obs.prof import cache_counter
 
 
 class CompositionError(Exception):
     """Raised when automata cannot be composed, or a step is ambiguous."""
+
+
+#: Stands for "no piece seen yet" in the snapshot diff; never a state.
+_NO_PIECE = object()
 
 
 def _env_cache_default() -> bool:
@@ -114,6 +133,9 @@ class _CompositionInputs(ActionSet):
             return False
         return any(action in c.signature.inputs for c in self._components)
 
+    def routes(self) -> Optional[FrozenSet[Route]]:
+        return union_routes(c.signature.inputs for c in self._components)
+
     def __repr__(self) -> str:
         return f"CompositionInputs({[c.name for c in self._components]})"
 
@@ -149,6 +171,7 @@ class Composition(Automaton):
         super().__init__(name or "||".join(names))
         self.components: Tuple[Automaton, ...] = components
         self._index: Dict[str, int] = {c.name: k for k, c in enumerate(components)}
+        self._route_candidates, self._wildcards = self._route_index()
         self._check_enumerable_compatibility()
         self._signature = Signature(
             inputs=_CompositionInputs(components),
@@ -173,6 +196,11 @@ class Composition(Automaton):
         self._enabled_memo: Dict[
             Tuple[int, State], Dict[str, Tuple[Action, ...]]
         ] = {}
+        #: the pieces of the last snapshotted state and their groups
+        self._last_pieces: List[State] = [_NO_PIECE] * len(components)
+        self._last_groups: List[Dict[str, Tuple[Action, ...]]] = [
+            {} for _ in components
+        ]
         # Cache telemetry: process-global hit/miss/evict tallies shared by
         # every composition (repro.obs.prof).  Plain integer adds on the
         # memo probes; deterministic for a fixed run, and the substrate of
@@ -215,29 +243,58 @@ class Composition(Automaton):
             raise KeyError(f"unknown composition task {task!r}")
         return self.components[self._index[comp_name]], local
 
+    def _route_index(self) -> Tuple[Dict[Route, Tuple[int, ...]], Tuple[int, ...]]:
+        """``(route -> candidate indices, wildcard indices)``.
+
+        A route's candidates are the components that declare it plus the
+        wildcards (components whose routes are unknown), in component
+        order; an undeclared route has only the wildcards.
+        """
+        declared: Dict[Route, List[int]] = {}
+        wildcards: List[int] = []
+        for k, c in enumerate(self.components):
+            routes = c.signature.routes()
+            if routes is None:
+                wildcards.append(k)
+                continue
+            for route in routes:
+                declared.setdefault(route, []).append(k)
+        candidates = {
+            route: tuple(sorted(ks + wildcards)) for route, ks in declared.items()
+        }
+        return candidates, tuple(wildcards)
+
+    def _candidates(self, action: Action) -> Tuple[int, ...]:
+        """Indices of the components that may have ``action`` in their
+        signature, in component order."""
+        return self._route_candidates.get(
+            (action.name, action.location), self._wildcards
+        )
+
     def _check_enumerable_compatibility(self) -> None:
         """Best-effort static compatibility checks on finite signatures."""
-        for k, c in enumerate(self.components):
+        components = self.components
+        for k, c in enumerate(components):
             outs = c.signature.outputs
             if not outs.is_finite():
                 continue
             for action in outs.enumerate():
                 owners = [
-                    d.name
-                    for d in self.components
-                    if action in d.signature.outputs
+                    components[d].name
+                    for d in self._candidates(action)
+                    if action in components[d].signature.outputs
                 ]
                 if len(owners) > 1:
                     raise CompositionError(
                         f"action {action} is an output of several "
                         f"components: {owners}"
                     )
-        for c in self.components:
+        for c in components:
             ints = c.signature.internals
             if not ints.is_finite():
                 continue
             for action in ints.enumerate():
-                for d in self.components:
+                for d in (components[i] for i in self._candidates(action)):
                     if d is not c and action in d.signature:
                         raise CompositionError(
                             f"internal action {action} of {c.name} is also "
@@ -267,34 +324,33 @@ class Composition(Automaton):
     def _dispatch(self, action: Action) -> Tuple[Optional[int], Tuple[int, ...]]:
         """``(owner index or None, participant indices)`` for ``action``.
 
-        The first sighting of each action runs the predicate scan (and
-        performs the lazy one-output-owner compatibility check, raising
-        :class:`CompositionError` on ambiguity); subsequent sightings are
-        one dictionary lookup.  Only successful dispatches are memoized,
-        so an ambiguous action raises on every use.
+        The first sighting of each action runs the predicate scan over the
+        action's route candidates (and performs the lazy one-output-owner
+        compatibility check, raising :class:`CompositionError` on
+        ambiguity); subsequent sightings are one dictionary lookup.  Only
+        successful dispatches are memoized, so an ambiguous action raises
+        on every use.
         """
         entry = self._dispatch_memo.get(action)
         if entry is not None:
             self._c_dispatch.hits += 1
             return entry
         self._c_dispatch.misses += 1
+        components = self.components
+        candidates = self._candidates(action)
         owners = [
             k
-            for k, c in enumerate(self.components)
-            if c.signature.is_locally_controlled(action)
+            for k in candidates
+            if components[k].signature.is_locally_controlled(action)
         ]
         if len(owners) > 1:
             raise CompositionError(
                 f"action {action} is locally controlled by several "
-                f"components: {[self.components[k].name for k in owners]}"
+                f"components: {[components[k].name for k in owners]}"
             )
         entry = (
             owners[0] if owners else None,
-            tuple(
-                k
-                for k, c in enumerate(self.components)
-                if action in c.signature
-            ),
+            tuple(k for k in candidates if action in components[k].signature),
         )
         if self._use_cache:
             self._dispatch_memo[action] = entry
@@ -407,9 +463,26 @@ class Composition(Automaton):
         """One snapshot of every enabled task — the per-step query the
         scheduler policies and the tagged-tree builder consume (see the
         module docstring)."""
+        if self._use_cache:
+            groups = self._last_groups
+            pieces = self._last_pieces
+            reused = 0
+            for index, piece in enumerate(state):
+                if piece is pieces[index]:
+                    reused += 1
+                else:
+                    groups[index] = self._component_enabled(index, piece)
+                    pieces[index] = piece
+            self._c_enabled.hits += reused
+        else:
+            groups = [
+                self._component_enabled(index, piece)
+                for index, piece in enumerate(state)
+            ]
         snapshot: Dict[str, Tuple[Action, ...]] = {}
-        for index, piece in enumerate(state):
-            snapshot.update(self._component_enabled(index, piece))
+        for grouped in groups:
+            if grouped:
+                snapshot.update(grouped)
         return snapshot
 
     # ------------------------------------------------------------------

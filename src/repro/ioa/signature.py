@@ -4,14 +4,35 @@ The action universe of a distributed system is infinite (there is a ``send``
 action for every message in the alphabet M), so action sets are represented
 by membership predicates rather than enumerations.  Finite sets additionally
 support iteration, which several checkers exploit.
+
+Every action set may also declare its *routes*: a set of ``(name,
+location)`` pairs covering all of its members.  A composition uses them
+to ask only the components that can possibly own or take part in an
+action (:mod:`repro.ioa.composition`).  A set whose routes are unknown
+returns ``None`` and is treated as a wildcard, so declaring routes is an
+optimization and never a condition for correctness.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, FrozenSet, Iterable, Iterator, Optional
+from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.ioa.actions import Action
+
+#: A ``(name, location)`` pair: the part of an action that routes it.
+Route = Tuple[str, Optional[int]]
+
+
+def union_routes(sets: Iterable["ActionSet"]) -> Optional[FrozenSet[Route]]:
+    """The union of the routes of ``sets``; ``None`` if any is unknown."""
+    routes: set = set()
+    for part in sets:
+        part_routes = part.routes()
+        if part_routes is None:
+            return None
+        routes |= part_routes
+    return frozenset(routes)
 
 
 class ActionSet(ABC):
@@ -28,6 +49,11 @@ class ActionSet(ABC):
     def enumerate(self) -> Iterator[Action]:
         """Iterate over members; only available when :meth:`is_finite`."""
         raise TypeError(f"{type(self).__name__} is not enumerable")
+
+    def routes(self) -> Optional[FrozenSet[Route]]:
+        """The ``(name, location)`` pairs of every member, or ``None``
+        when unknown (a wildcard: any action may be a member)."""
+        return None
 
     def union(self, other: "ActionSet") -> "ActionSet":
         """The union of this set with another."""
@@ -49,6 +75,9 @@ class EmptyActionSet(ActionSet):
     def enumerate(self) -> Iterator[Action]:
         return iter(())
 
+    def routes(self) -> FrozenSet[Route]:
+        return frozenset()
+
     def __repr__(self) -> str:
         return "EmptyActionSet()"
 
@@ -68,6 +97,9 @@ class FiniteActionSet(ActionSet):
     def enumerate(self) -> Iterator[Action]:
         return iter(sorted(self._actions))
 
+    def routes(self) -> FrozenSet[Route]:
+        return frozenset((a.name, a.location) for a in self._actions)
+
     def __len__(self) -> int:
         return len(self._actions)
 
@@ -86,14 +118,33 @@ class PredicateActionSet(ActionSet):
         Membership test.
     description:
         Human-readable description for error messages and ``repr``.
+    routes:
+        Optional ``(name, location)`` pairs covering every member.  When
+        given, membership tests the route before the predicate, so the
+        declaration holds by construction: an off-route action is never
+        a member, whatever the predicate says.
     """
 
-    def __init__(self, predicate: Callable[[Action], bool], description: str = ""):
+    def __init__(
+        self,
+        predicate: Callable[[Action], bool],
+        description: str = "",
+        routes: Optional[Iterable[Route]] = None,
+    ):
         self._predicate = predicate
         self._description = description
+        self._routes: Optional[FrozenSet[Route]] = (
+            None if routes is None else frozenset(routes)
+        )
 
     def __contains__(self, action: Action) -> bool:
+        routes = self._routes
+        if routes is not None and (action.name, action.location) not in routes:
+            return False
         return self._predicate(action)
+
+    def routes(self) -> Optional[FrozenSet[Route]]:
+        return self._routes
 
     def __repr__(self) -> str:
         return f"PredicateActionSet({self._description!r})"
@@ -118,6 +169,9 @@ class UnionActionSet(ActionSet):
                 if action not in seen:
                     seen.add(action)
                     yield action
+
+    def routes(self) -> Optional[FrozenSet[Route]]:
+        return union_routes(self._parts)
 
     @property
     def parts(self) -> tuple:
@@ -168,6 +222,11 @@ class Signature:
             or self.is_output(action)
             or self.is_internal(action)
         )
+
+    def routes(self) -> Optional[FrozenSet[Route]]:
+        """The routes of every action in the signature, or ``None`` when
+        some part is unknown."""
+        return union_routes((self.inputs, self.outputs, self.internals))
 
     def classify(self, action: Action) -> Optional[str]:
         """Return ``"input"``, ``"output"``, ``"internal"``, or ``None``."""

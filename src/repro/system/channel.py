@@ -58,6 +58,7 @@ class ChannelAutomaton(Automaton):
                     and a.payload[1] == destination
                 ),
                 f"send(*, {destination})_{source}",
+                routes=((SEND, source),),
             ),
             outputs=PredicateActionSet(
                 lambda a: (
@@ -67,6 +68,7 @@ class ChannelAutomaton(Automaton):
                     and a.payload[1] == source
                 ),
                 f"receive(*, {source})_{destination}",
+                routes=((RECEIVE, destination),),
             ),
         )
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -91,6 +93,20 @@ class TestSpecCache:
         assert r1.solved and r2.solved
         # The second run re-walked interned territory: tables grew once.
         assert cs.table_sizes()["configs"] > 0
+
+    def test_evicted_system_is_freed(self):
+        # The compiled core refers back to its automaton, so a per-process
+        # map from automaton to core would keep every compiled system
+        # alive; once out of the LRU, the pair must be collectable.
+        cs = compile_spec(SPEC)
+        cs.run(seed=1)
+        composition = weakref.ref(cs.system.composition)
+        core = weakref.ref(cs.core)
+        del cs
+        clear_spec_cache()
+        gc.collect()
+        assert composition() is None
+        assert core() is None
 
 
 class TestMeta:

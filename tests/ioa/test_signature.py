@@ -65,6 +65,24 @@ class TestActionSets:
         s = FiniteActionSet([A]) | FiniteActionSet([B])
         assert A in s and B in s
 
+    def test_routes_derived_and_unioned(self):
+        assert EmptyActionSet().routes() == frozenset()
+        assert FiniteActionSet([A, Action("a", 0, (1,))]).routes() == {("a", 0)}
+        declared = PredicateActionSet(lambda a: True, "", routes=[("c", 2)])
+        union = UnionActionSet([FiniteActionSet([A]), declared])
+        assert union.routes() == {("a", 0), ("c", 2)}
+        assert Signature(inputs=FiniteActionSet([B]), outputs=union).routes() == {
+            ("a", 0),
+            ("b", 1),
+            ("c", 2),
+        }
+
+    def test_unknown_routes_make_the_union_unknown(self):
+        wildcard = PredicateActionSet(lambda a: a.name == "a", "name==a")
+        assert wildcard.routes() is None
+        assert UnionActionSet([FiniteActionSet([B]), wildcard]).routes() is None
+        assert Signature(internals=wildcard).routes() is None
+
 
 class TestSignature:
     def make(self):
