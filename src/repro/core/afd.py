@@ -41,8 +41,8 @@ from repro.core.renaming import Renaming
 from repro.core.reordering import random_constrained_reordering
 from repro.core.sampling import random_sampling
 from repro.core.validity import (
+    check_live_output_liveness,
     check_no_outputs_after_crash,
-    is_valid_finite,
     live_locations,
 )
 from repro.system.fault_pattern import is_crash
@@ -50,10 +50,18 @@ from repro.system.fault_pattern import is_crash
 
 @dataclass
 class CheckResult:
-    """Outcome of a specification check, with reasons on failure."""
+    """Outcome of a specification check, with reasons on failure.
+
+    ``index`` localizes a failed *safety* check: the position of the
+    event whose arrival first makes the checked sequence unsafe, so
+    ``t[:index]`` passes the same check and ``t[:index + 1]`` fails it.
+    It is ``None`` on success and for failures no single event causes
+    (eventual and liveness conditions).
+    """
 
     ok: bool
     reasons: List[str] = field(default_factory=list)
+    index: Optional[int] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -63,20 +71,28 @@ class CheckResult:
         return CheckResult(True)
 
     @staticmethod
-    def failure(*reasons: str) -> "CheckResult":
-        return CheckResult(False, list(reasons))
+    def failure(*reasons: str, index: Optional[int] = None) -> "CheckResult":
+        return CheckResult(False, list(reasons), index)
 
     def merge(self, other) -> "CheckResult":
+        """Both results; the merged ``index`` is the earlier one."""
+        indices = [r.index for r in (self, other) if r.index is not None]
         return CheckResult(
-            self.ok and other.ok, self.reasons + list(other.reasons)
+            self.ok and other.ok,
+            self.reasons + list(other.reasons),
+            min(indices) if indices else None,
         )
+
+
+#: Default stabilization witness of :func:`eventually_forever`.
+MIN_TAIL_OUTPUTS = 3
 
 
 def eventually_forever(
     t: Sequence[Action],
     live: FrozenSet[int],
     event_ok: Callable[[Action], bool],
-    min_tail_outputs: int = 3,
+    min_tail_outputs: int = MIN_TAIL_OUTPUTS,
     description: str = "eventual property",
 ) -> CheckResult:
     """Finite approximation of "there exists a suffix of t in which every
@@ -99,11 +115,44 @@ def eventually_forever(
         )
         if count < min_tail_outputs:
             return CheckResult.failure(
-                f"{description}: live location {i} has only {count} outputs "
-                f"after the last violating event (index {last_violation}); "
-                f"needed >= {min_tail_outputs}"
+                tail_shortfall(
+                    description, i, count, last_violation, min_tail_outputs
+                )
             )
     return CheckResult.success()
+
+
+def tail_shortfall(
+    description: str,
+    location: int,
+    count: int,
+    last_violation: int,
+    min_tail_outputs: int = MIN_TAIL_OUTPUTS,
+) -> str:
+    """The reason :func:`eventually_forever` gives when live ``location``
+    has only ``count`` outputs after the last violating event."""
+    return (
+        f"{description}: live location {location} has only {count} outputs "
+        f"after the last violating event (index {last_violation}); "
+        f"needed >= {min_tail_outputs}"
+    )
+
+
+def _first_failure(check, t: Sequence[Action], result) -> Optional[int]:
+    """The index of the first event of t that fails ``check``, given its
+    failing ``result`` on t: the reported index, else the last event of
+    the minimal failing prefix (binary search; ``check`` must be
+    prefix-monotone)."""
+    if result.index is not None or not t:
+        return result.index
+    lo, hi = 0, len(t) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if check(t[: mid + 1]):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class AFD(ABC):
@@ -197,25 +246,46 @@ class AFD(ABC):
                 continue
             if not self.is_output(a):
                 return CheckResult.failure(
-                    f"event {a} at index {k} is not an event of {self.name}"
+                    f"event {a} at index {k} is not an event of {self.name}",
+                    index=k,
                 )
             if not self.well_formed_output(a):
                 return CheckResult.failure(
-                    f"output {a} at index {k} is malformed for {self.name}"
+                    f"output {a} at index {k} is malformed for {self.name}",
+                    index=k,
                 )
         return CheckResult.success()
 
     def check_safety(self, t: Sequence[Action]) -> CheckResult:
         """Exact necessary conditions for t to be a prefix of some member
-        of T_D: event vocabulary, validity condition (1), extra safety."""
-        result = self.check_events_well_formed(t)
-        if not result:
-            return result
-        validity = check_no_outputs_after_crash(t)
-        result = result.merge(CheckResult(validity.ok, validity.reasons))
-        if not result:
-            return result
-        return result.merge(self.extra_safety(t))
+        of T_D: event vocabulary, validity condition (1), extra safety.
+
+        The checks run in that order and the first failure's reasons are
+        reported.  Its ``index`` is the first event whose arrival makes t
+        unsafe under *any* check: when a check fails at ``a``, the later
+        checks scan ``t[:a]`` only and the earliest failure wins.  Every
+        check is prefix-monotone, so this equals the minimal failing
+        prefix length minus one.  A check that reports no index is
+        localized by bisecting it over prefixes.
+        """
+        checks = (
+            self.check_events_well_formed,
+            check_no_outputs_after_crash,
+            self.extra_safety,
+        )
+        for n, check in enumerate(checks):
+            result = check(t)
+            if result:
+                continue
+            index = _first_failure(check, t, result)
+            for later in checks[n + 1 :]:
+                if not index:
+                    break  # nothing precedes event 0
+                early = later(t[:index])
+                if not early:
+                    index = _first_failure(later, t[:index], early)
+            return CheckResult(False, list(result.reasons), index)
+        return CheckResult.success()
 
     def check_limit(
         self,
@@ -229,7 +299,9 @@ class AFD(ABC):
         result = self.check_safety(t)
         if not result:
             return result
-        validity = is_valid_finite(t, self.locations, min_live_outputs)
+        validity = check_live_output_liveness(
+            t, self.locations, min_live_outputs
+        )
         result = result.merge(CheckResult(validity.ok, validity.reasons))
         if not result:
             return result

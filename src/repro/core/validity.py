@@ -52,10 +52,16 @@ def outputs_at(t: Sequence[Action], location: int) -> List[Action]:
 
 @dataclass
 class ValidityReport:
-    """The result of a validity check, with human-readable reasons."""
+    """The result of a validity check, with human-readable reasons.
+
+    ``index`` localizes a condition-(1) failure: the position of the
+    first output after a same-location crash (``None`` on success and
+    for the liveness half, which no single event violates).
+    """
 
     ok: bool
     reasons: List[str] = field(default_factory=list)
+    index: Optional[int] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -65,11 +71,19 @@ class ValidityReport:
         return ValidityReport(True)
 
     @staticmethod
-    def failure(*reasons: str) -> "ValidityReport":
-        return ValidityReport(False, list(reasons))
+    def failure(
+        *reasons: str, index: Optional[int] = None
+    ) -> "ValidityReport":
+        return ValidityReport(False, list(reasons), index)
 
     def merge(self, other: "ValidityReport") -> "ValidityReport":
-        return ValidityReport(self.ok and other.ok, self.reasons + other.reasons)
+        """Both reports; the merged ``index`` is the earlier one."""
+        indices = [r.index for r in (self, other) if r.index is not None]
+        return ValidityReport(
+            self.ok and other.ok,
+            self.reasons + other.reasons,
+            min(indices) if indices else None,
+        )
 
 
 def check_no_outputs_after_crash(t: Sequence[Action]) -> ValidityReport:
@@ -80,7 +94,8 @@ def check_no_outputs_after_crash(t: Sequence[Action]) -> ValidityReport:
             crashed.add(a.location)
         elif a.location in crashed:
             return ValidityReport.failure(
-                f"event {a} at index {k} occurs after crash_{a.location}"
+                f"event {a} at index {k} occurs after crash_{a.location}",
+                index=k,
             )
     return ValidityReport.success()
 

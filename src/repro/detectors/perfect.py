@@ -64,7 +64,8 @@ def check_no_premature_suspicion(t: Sequence[Action]) -> CheckResult:
         if premature:
             return CheckResult.failure(
                 f"event {a} at index {k} suspects live location(s) "
-                f"{sorted(premature)} before their crash events"
+                f"{sorted(premature)} before their crash events",
+                index=k,
             )
     return CheckResult.success()
 

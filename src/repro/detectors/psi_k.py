@@ -25,6 +25,7 @@ from repro.ioa.automaton import Automaton
 from repro.core.afd import AFD, CheckResult, eventually_forever
 from repro.detectors.base import CrashsetDetectorAutomaton, sorted_tuple
 from repro.detectors.omega_k import _padded_leader_set
+from repro.detectors.quorum import check_quorums_intersect
 from repro.system.fault_pattern import is_crash
 
 PSI_K_OUTPUT = "fd-psi-k"
@@ -80,21 +81,7 @@ class PsiK(AFD):
         return len(quorum) > 0 and len(leaders) == self.k
 
     def extra_safety(self, t: Sequence[Action]) -> CheckResult:
-        quorums = [
-            (k, frozenset(a.payload[0]))
-            for k, a in enumerate(t)
-            if not is_crash(a)
-        ]
-        for x in range(len(quorums)):
-            for y in range(x + 1, len(quorums)):
-                kx, qx = quorums[x]
-                ky, qy = quorums[y]
-                if not (qx & qy):
-                    return CheckResult.failure(
-                        f"Psi^k quorums at indices {kx} and {ky} do not "
-                        f"intersect: {sorted(qx)} vs {sorted(qy)}"
-                    )
-        return CheckResult.success()
+        return check_quorums_intersect(t, "Psi^k quorums")
 
     def check_eventual(
         self, t: Sequence[Action], live: FrozenSet[int]

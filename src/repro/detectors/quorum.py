@@ -19,7 +19,7 @@ the intersection property holds in every fair trace.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Sequence
+from typing import FrozenSet, Sequence, Set
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton
@@ -29,6 +29,46 @@ from repro.detectors.perfect import _suspect_set_well_formed
 from repro.system.fault_pattern import is_crash
 
 SIGMA_OUTPUT = "fd-sigma"
+
+
+def check_quorums_intersect(t: Sequence[Action], label: str) -> CheckResult:
+    """Every two quorums (``payload[0]`` of t's outputs) intersect.
+
+    ``index`` is the first output whose quorum misses an earlier one.
+    The reason names the first disjoint pair in (earlier, later) order,
+    which can end after ``index``: with quorums (0,1), (0,2), (1,3),
+    (2,3) the reason names indices 0 and 3, but the trace is already
+    unsafe at index 2.  A quorum equal to an earlier one is skipped —
+    it was already checked against everything it must meet — unless it
+    is empty.
+    """
+    quorums = [
+        (k, frozenset(a.payload[0]))
+        for k, a in enumerate(t)
+        if not is_crash(a)
+    ]
+    seen: Set[FrozenSet[int]] = set()
+    index = None
+    for k, q in quorums:
+        if q and q in seen:
+            continue
+        if any(not (q & p) for p in seen):
+            index = k
+            break
+        seen.add(q)
+    if index is None:
+        return CheckResult.success()
+    kx, qx, ky, qy = next(
+        (kx, qx, ky, qy)
+        for x, (kx, qx) in enumerate(quorums)
+        for ky, qy in quorums[x + 1 :]
+        if not (qx & qy)
+    )
+    return CheckResult.failure(
+        f"{label} at indices {kx} and {ky} do not "
+        f"intersect: {sorted(qx)} vs {sorted(qy)}",
+        index=index,
+    )
 
 
 def sigma_output(location: int, quorum) -> Action:
@@ -58,21 +98,7 @@ class Sigma(AFD):
         return len(action.payload[0]) > 0  # quorums are nonempty
 
     def extra_safety(self, t: Sequence[Action]) -> CheckResult:
-        quorums = [
-            (k, frozenset(a.payload[0]))
-            for k, a in enumerate(t)
-            if not is_crash(a)
-        ]
-        for x in range(len(quorums)):
-            for y in range(x + 1, len(quorums)):
-                kx, qx = quorums[x]
-                ky, qy = quorums[y]
-                if not (qx & qy):
-                    return CheckResult.failure(
-                        f"quorums at indices {kx} and {ky} do not "
-                        f"intersect: {sorted(qx)} vs {sorted(qy)}"
-                    )
-        return CheckResult.success()
+        return check_quorums_intersect(t, "quorums")
 
     def check_eventual(
         self, t: Sequence[Action], live: FrozenSet[int]

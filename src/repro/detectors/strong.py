@@ -21,11 +21,18 @@ it is checked in the limit checker rather than as ``extra_safety``.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Sequence
+from bisect import bisect_right
+from typing import Dict, FrozenSet, List, Sequence
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton
-from repro.core.afd import AFD, CheckResult, eventually_forever
+from repro.core.afd import (
+    AFD,
+    MIN_TAIL_OUTPUTS,
+    CheckResult,
+    eventually_forever,
+    tail_shortfall,
+)
 from repro.core.validity import faulty_locations
 from repro.detectors.base import CrashsetDetectorAutomaton, sorted_tuple
 from repro.detectors.perfect import _suspect_set_well_formed
@@ -133,17 +140,36 @@ class EventuallyStrong(AFD):
         )
         if not live:
             return completeness
+        # eventually_forever per candidate ("candidate is not suspected"),
+        # from one scan: each location's last suspicion and each live
+        # location's output positions give every candidate's tail counts.
+        last_suspected: Dict[int, int] = {}
+        outputs: Dict[int, List[int]] = {i: [] for i in live}
+        for k, a in enumerate(t):
+            if is_crash(a):
+                continue
+            for l in a.payload[0]:
+                last_suspected[l] = k
+            at = outputs.get(a.location)
+            if at is not None:
+                at.append(k)
         failures = []
         for candidate in sorted(live):
-            verdict = eventually_forever(
-                t,
-                live,
-                lambda a, l=candidate: l not in a.payload[0],
-                description=f"◇S eventual weak accuracy on {candidate}",
-            )
-            if verdict:
-                return completeness.merge(verdict)
-            failures.extend(verdict.reasons)
+            last = last_suspected.get(candidate, -1)
+            for i in live:
+                count = len(outputs[i]) - bisect_right(outputs[i], last)
+                if count < MIN_TAIL_OUTPUTS:
+                    failures.append(
+                        tail_shortfall(
+                            f"◇S eventual weak accuracy on {candidate}",
+                            i,
+                            count,
+                            last,
+                        )
+                    )
+                    break
+            else:
+                return completeness.merge(CheckResult.success())
         return completeness.merge(
             CheckResult.failure(
                 "◇S eventual weak accuracy: no live location is eventually "

@@ -329,15 +329,15 @@ class AfdValidityOracle(TraceOracle):
 
     Delegates membership to :meth:`AFD.check_limit` over the trace's
     projection onto I-hat ∪ O_D, then localizes the violation.  Safety
-    failures are localized *exactly*: because :meth:`AFD.check_safety`
-    is prefix-monotone (a safe trace has only safe prefixes), a binary
-    search over prefixes finds the unique event whose arrival first
-    makes the trace unsafe — covering not just malformed outputs and
-    outputs after a same-location crash but every ``extra_safety``
-    property an AFD declares (e.g. P's premature suspicion of a
-    live-but-slow peer in a timed run).  Pure liveness failures (too
-    few outputs, no stabilization witness) have no violating event and
-    report ``len(actions)``.
+    failures are localized *exactly*: the failing
+    :meth:`AFD.check_safety` result carries ``index``, the event whose
+    arrival first makes the trace unsafe under any of its checks
+    (found in one scan per check, see there) — covering not just
+    malformed outputs and outputs after a same-location crash but every
+    ``extra_safety`` property an AFD declares (e.g. P's premature
+    suspicion of a live-but-slow peer in a timed run).  Pure liveness
+    failures (too few outputs, no stabilization witness) have no
+    violating event and report ``len(actions)``.
     """
 
     name = "afd-validity"
@@ -355,17 +355,8 @@ class AfdValidityOracle(TraceOracle):
         if result.ok:
             return self._ok()
         reason = "; ".join(result.reasons) or "T_D membership failed"
-        if events and not self.afd.check_safety(events):
-            # Prefix-monotone safety: binary-search the minimal failing
-            # prefix; its last event is the exact violation.
-            lo, hi = 0, len(events) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self.afd.check_safety(events[: mid + 1]):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return self._fail(projected[lo][0], reason)
+        if result.index is not None:
+            return self._fail(projected[result.index][0], reason)
         return self._fail(len(actions), reason)
 
 

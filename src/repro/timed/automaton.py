@@ -23,6 +23,22 @@ time, delivery, and outputs fairly, and the emitted trace (crash events
 + fd outputs) is directly judged by the PR 4 conformance oracles
 against the implementation's *target AFD* (:meth:`afd`).
 
+The per-step snapshot (:meth:`TimedDetectorAutomaton.enabled_by_task`)
+is built directly — ``{"clock": (tick,)}``, then ``out[i]`` for each
+live location in ``locations`` order, exactly the generic
+:meth:`Automaton.enabled_by_task` result — and memoized on the identity
+of the last state asked about.  Fd outputs and repeated crashes return
+the *same* state object, so under round-robin N of every N+1 steps ask
+about a state already seen and get a fresh copy of the kept snapshot.
+The memo holds the kept state, so its identity cannot be reused by
+another object.
+
+The emitted trace is judged by
+:class:`~repro.faults.oracles.AfdValidityOracle`, which reads the
+violation position from the failing safety check's
+:attr:`~repro.core.afd.CheckResult.index` (the first event whose
+arrival makes the trace unsafe) — one ``check_safety`` call per run.
+
 Because states are plain nested tuples, the automaton is also
 compiled-path compatible: :class:`~repro.ioa.scheduler.Scheduler` with
 ``compiled=True`` lowers it through the generic
@@ -135,6 +151,10 @@ class TimedDetectorAutomaton(Automaton):
         self._tasks = ("clock",) + tuple(
             f"out[{i}]" for i in self.locations
         )
+        # The last state enabled_by_task was asked about and its
+        # snapshot; holding the state keeps its identity from reuse.
+        self._last_state: Optional[State] = None
+        self._last_snapshot: Dict[str, Tuple[Action, ...]] = {}
         output_name = self.output_name
         in_locations = frozenset(self.locations)
         self._signature = Signature(
@@ -272,6 +292,26 @@ class TimedDetectorAutomaton(Automaton):
             location,
             self.node_output(location, self.node_state(state, location)),
         )
+
+    def enabled_by_task(self, state: State) -> Dict[str, Tuple[Action, ...]]:
+        """The base-class snapshot, built directly and memoized on the
+        identity of the last state asked about (see the module
+        docstring); every call returns a fresh dict."""
+        if state is self._last_state:
+            return dict(self._last_snapshot)
+        snapshot: Dict[str, Tuple[Action, ...]] = {
+            "clock": (self._tick_action,)
+        }
+        flags, nodes = state[1], state[2]
+        name, node_output = self.output_name, self.node_output
+        for k, loc in enumerate(self.locations):
+            if not flags[k]:
+                snapshot[self._tasks[k + 1]] = (
+                    Action(name, loc, node_output(loc, nodes[k])),
+                )
+        self._last_state = state
+        self._last_snapshot = snapshot
+        return dict(snapshot)
 
     def enabled_locally(self, state: State) -> Iterable[Action]:
         yield self._tick_action

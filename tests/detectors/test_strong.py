@@ -1,6 +1,13 @@
 """Tests for the strong (S) and eventually strong (◇S) AFDs."""
 
-from repro.core.afd import check_afd_closure_properties
+from hypothesis import given, settings, strategies as st
+
+from repro.core.afd import (
+    CheckResult,
+    check_afd_closure_properties,
+    eventually_forever,
+)
+from repro.core.validity import faulty_locations, live_locations
 from repro.detectors.strong import (
     EventuallyStrong,
     Strong,
@@ -87,3 +94,70 @@ class TestEventuallyStrong:
         evs = EventuallyStrong(LOCS)
         t = run_detector(evs.automaton(), FaultPattern({1: 3}, LOCS), 140)
         assert check_afd_closure_properties(evs, t, seed=14)
+
+
+def per_candidate_check_eventual(t, live):
+    """◇S ``check_eventual`` as one ``eventually_forever`` scan per
+    live candidate — the reference the one-scan version must match."""
+    faulty = faulty_locations(t)
+    completeness = eventually_forever(
+        t,
+        live,
+        lambda a: faulty <= set(a.payload[0]),
+        description="◇S strong completeness",
+    )
+    if not live:
+        return completeness
+    failures = []
+    for candidate in sorted(live):
+        verdict = eventually_forever(
+            t,
+            live,
+            lambda a, l=candidate: l not in a.payload[0],
+            description=f"◇S eventual weak accuracy on {candidate}",
+        )
+        if verdict:
+            return completeness.merge(verdict)
+        failures.extend(verdict.reasons)
+    return completeness.merge(
+        CheckResult.failure(
+            "◇S eventual weak accuracy: no live location is eventually "
+            "never suspected",
+            *failures,
+        )
+    )
+
+
+#: Mostly-quiet suspect sets, so some candidates do stabilize.
+_suspects = st.one_of(
+    st.just(()),
+    st.just(()),
+    st.lists(st.sampled_from(LOCS), max_size=2).map(
+        lambda xs: tuple(sorted(set(xs)))
+    ),
+)
+_evs_events = st.one_of(
+    st.builds(eventually_strong_output, st.sampled_from(LOCS), _suspects),
+    st.builds(eventually_strong_output, st.sampled_from(LOCS), _suspects),
+    st.builds(eventually_strong_output, st.sampled_from(LOCS), _suspects),
+    st.builds(eventually_strong_output, st.sampled_from(LOCS), _suspects),
+    st.sampled_from(LOCS).map(crash_action),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.lists(_evs_events, max_size=40),
+    live=st.one_of(
+        st.none(),
+        st.frozensets(st.sampled_from(LOCS)),
+    ),
+)
+def test_evs_one_scan_matches_per_candidate_scan(t, live):
+    # live=None takes the trace's own live set; otherwise any subset,
+    # the empty one included.
+    if live is None:
+        live = live_locations(t, LOCS)
+    got = EventuallyStrong(LOCS).check_eventual(t, live)
+    want = per_candidate_check_eventual(t, live)
+    assert (got.ok, got.reasons) == (want.ok, want.reasons)

@@ -98,8 +98,8 @@ class TestCleanControls:
 class TestRunLevelNegatives:
     def test_pingpong_sub_bound_timeout_exact_safety_index(self):
         # timeout 2 < safe bound 5: the first slow round trip convicts
-        # a live peer.  The violating output is localized exactly — the
-        # P oracle binary-searches the minimal unsafe prefix.
+        # a live peer.  The violating output is localized exactly — P's
+        # safety check reports the first premature suspicion.
         automaton, trace = run_timed(
             "ping-pong", {"timeout": 2, "delay": {"jitter": 2}}
         )
